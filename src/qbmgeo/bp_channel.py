@@ -14,12 +14,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.special import spence
 
-from .gibbs import ThermalState
 from .linalg import hermitize
+
+if TYPE_CHECKING:
+    from .gibbs import ThermalState
 
 T_MAX = 12.0
 NODES_PER_SECTION = 1_500_000
@@ -183,6 +186,10 @@ def apply_channel(ts: ThermalState, x: np.ndarray) -> np.ndarray:
     x = hermitize(x)
     if x.shape[0] != ts.dim:
         raise ValueError(f"dimension mismatch: {x.shape[0]} vs {ts.dim}")
-    filtered = filter_matrix(ts.g_eigenvalues) * ts.to_eigenbasis(x)
-    out = ts.from_eigenbasis(filtered)
+    return channel_from_eigenbasis(ts, ts.to_eigenbasis(x))
+
+
+def channel_from_eigenbasis(ts: ThermalState, x_eig: np.ndarray) -> np.ndarray:
+    """Phi(X) in the computational basis, for X given in the G(theta) eigenbasis."""
+    out = ts.from_eigenbasis(ts.filter * x_eig)
     return hermitize(out, tol=1e-10 * (1.0 + float(np.max(np.abs(out)))))

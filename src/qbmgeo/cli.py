@@ -4,8 +4,8 @@ Subcommands: info-matrix, train, metrology, estimate, validate. Every command
 is a pure function of (config, seed, workers): numeric output is serialized
 with 17 significant digits, so identical inputs produce byte-identical output.
 
-Exit codes: 0 success, 2 config/schema error, 3 numeric or internal
-consistency error, 4 statistical acceptance failure in `validate`.
+Exit codes: 0 success, 2 config, schema or output-path error, 3 numeric or
+internal consistency error, 4 statistical acceptance failure in `validate`.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ from .natgrad import (
     train,
 )
 from .shot_estimators import (
-    EstimatorReport,
     ShotConfig,
+    estimate_element,
     estimate_fb_first_term,
     estimate_km_first_term,
     estimate_matrix,
@@ -142,7 +142,9 @@ def _resolve_seed(config: dict, args) -> int:
     return seed
 
 
-def _positive_int(block: dict, key: str, name: str) -> int:
+def _positive_int(block: dict, key: str, name: str, default=None) -> int:
+    if key not in block and default is not None:
+        return default
     v = block[key]
     if not isinstance(v, int) or isinstance(v, bool) or v < 1:
         raise SchemaError(f"{name}.{key} must be a positive integer")
@@ -272,6 +274,9 @@ def cmd_train(config: dict, args) -> int:
     allowed = {"loss", "metric", "mode", "eta", "max_iters", "grad_tol",
                "pinv_rel_tol", "tikhonov", "epsilon", "delta", "trace_csv"}
     _check_keys(block, allowed, {"loss", "metric", "mode", "eta", "max_iters"}, "train")
+    trace_path = block.get("trace_csv")
+    if "trace_csv" in block and (not isinstance(trace_path, str) or not trace_path):
+        raise SchemaError("train.trace_csv must be a non-empty string")
     loss = _parse_loss(block["loss"], ham)
     metric_name = _choice(block, "metric", ("fb", "km", "euclidean"), "train")
     mode = _choice(block, "mode", ("exact", "shot"), "train")
@@ -290,7 +295,6 @@ def cmd_train(config: dict, args) -> int:
         raise SchemaError(str(err)) from err
 
     trace = train(ham, loss, cfg)
-    trace_path = block.get("trace_csv")
     if trace_path is None:
         if args.out:
             stem = args.out[:-5] if args.out.endswith(".json") else args.out
@@ -362,21 +366,13 @@ def cmd_estimate(config: dict, args) -> int:
     cfg = _shot_config(block, seed, "estimate")
 
     ts = thermal_state(ham)
-    first_fn = estimate_fb_first_term if kind == FISHER_BURES else estimate_km_first_term
     if target == "first_term":
+        first_fn = estimate_fb_first_term if kind == FISHER_BURES else estimate_km_first_term
         report = first_fn(ham, i, j, cfg, ts=ts)
     elif target == "product_term":
         report = estimate_product_term(ham, i, j, cfg, ts=ts)
     else:
-        first = first_fn(ham, i, j, cfg, ts=ts)
-        second = estimate_product_term(ham, i, j, cfg, ts=ts)
-        report = EstimatorReport(
-            value=first.value - second.value,
-            shots=first.shots + second.shots,
-            first_term=first.value,
-            second_term=second.value,
-            exact_reference=first.exact_reference - second.exact_reference,
-        )
+        report = estimate_element(ham, kind, i, j, cfg, ts=ts)
     payload = {
         "kind": kind_name,
         "target": target,
@@ -411,11 +407,9 @@ def cmd_validate(config: dict, args) -> int:
     seed = _resolve_seed(config, args)
     block = config.get("validate", {})
     _check_keys(block, {"instances", "draws"}, set(), "validate")
-    n_instances = block.get("instances", 20)
-    draws = block.get("draws", 1_000_000)
-    if not isinstance(n_instances, int) or n_instances < 1:
-        raise SchemaError("validate.instances must be a positive integer")
-    if not isinstance(draws, int) or draws < 1000:
+    n_instances = _positive_int(block, "instances", "validate", default=20)
+    draws = _positive_int(block, "draws", "validate", default=1_000_000)
+    if draws < 1000:
         raise SchemaError("validate.draws must be an integer >= 1000")
 
     failures = 0
@@ -510,6 +504,10 @@ def main(argv=None) -> int:
         return COMMANDS[args.command](config, args)
     except SchemaError as err:
         print(f"config error: {err}", file=sys.stderr)
+        return EXIT_SCHEMA
+    except OSError as err:
+        # reading the config maps to SchemaError, so this is --out or the trace CSV
+        print(f"output error: {err}", file=sys.stderr)
         return EXIT_SCHEMA
     except (NumericConsistencyError, ValueError, RuntimeError) as err:
         print(f"numeric error: {err}", file=sys.stderr)

@@ -3,16 +3,19 @@
 Inverse temperature is absorbed into theta. The exact parameter derivative of
 rho is computed with the divided-difference (Daleckii-Krein) rule for the
 matrix exponential in the G(theta) eigenbasis; it doubles as the independent
-oracle for the closed-form information-matrix paths.
+oracle for the closed-form information-matrix paths. A ThermalState is the
+eigenframe every per-state quantity reads, so each term changes basis once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.special import logsumexp
 
+from .bp_channel import filter_matrix
 from .hamiltonian import ParamHamiltonian, assemble
 from .linalg import (
     EXP_OVERFLOW_LIMIT,
@@ -29,7 +32,9 @@ class ThermalState:
 
     `g_eigenvalues` (mu, ascending) and `g_eigenvectors` (columns) diagonalize
     G(theta); `rho_eigenvalues` are exp(-mu)/Z in the same column order, so the
-    state is rho = V diag(rho_eigenvalues) V†.
+    state is rho = V diag(rho_eigenvalues) V†. `term_matrices` are the G_j of
+    the family; the cached properties below are computed on first use, so a
+    state read only for `rho` does no basis change.
     """
 
     rho: np.ndarray = field(repr=False)
@@ -37,6 +42,7 @@ class ThermalState:
     g_eigenvectors: np.ndarray = field(repr=False)
     log_partition: float
     theta: np.ndarray = field(repr=False)
+    term_matrices: tuple = field(default=(), repr=False)
 
     @property
     def dim(self) -> int:
@@ -54,9 +60,36 @@ class ThermalState:
         v = self.g_eigenvectors
         return v @ op @ v.conj().T
 
+    def mean(self, op_eig: np.ndarray) -> float:
+        """Tr[op rho] for an operator given in the G(theta) eigenbasis."""
+        return float(np.real(np.sum(np.diagonal(op_eig) * self.rho_eigenvalues)))
 
-def thermal_state_from_matrix(g: np.ndarray, theta=None) -> ThermalState:
-    """Thermal state of an explicit Hermitian generator matrix."""
+    @cached_property
+    def terms_eig(self) -> list[np.ndarray]:
+        """The terms G_j in the G(theta) eigenbasis."""
+        return [self.to_eigenbasis(g) for g in self.term_matrices]
+
+    @cached_property
+    def term_means(self) -> np.ndarray:
+        """<G_j> under rho(theta)."""
+        return np.array([self.mean(g) for g in self.terms_eig])
+
+    @cached_property
+    def filter(self) -> np.ndarray:
+        """Channel filter f(mu_k - mu_l) on every eigenvalue gap."""
+        return filter_matrix(self.g_eigenvalues)
+
+    @cached_property
+    def divided_differences(self) -> np.ndarray:
+        """(exp(-mu_k) - exp(-mu_l)) / (mu_k - mu_l), normalized by Z."""
+        mu = self.g_eigenvalues
+        mid = (mu[:, None] + mu[None, :]) / 2.0
+        half_gap = (mu[:, None] - mu[None, :]) / 2.0
+        return -np.exp(-mid - self.log_partition) * _sinhc(half_gap)
+
+
+def thermal_state_from_matrix(g: np.ndarray, theta=None, terms=()) -> ThermalState:
+    """Thermal state of an explicit Hermitian generator matrix G = sum_j theta_j terms[j]."""
     dec = spectral(g)
     mu = dec.eigenvalues
     if mu.size and float(np.max(np.abs(mu))) > EXP_OVERFLOW_LIMIT:
@@ -75,12 +108,22 @@ def thermal_state_from_matrix(g: np.ndarray, theta=None) -> ThermalState:
         g_eigenvectors=v,
         log_partition=log_z,
         theta=theta,
+        term_matrices=tuple(terms),
     )
 
 
 def thermal_state(h: ParamHamiltonian) -> ThermalState:
     """rho(theta) for a parameterized Pauli Hamiltonian."""
-    return thermal_state_from_matrix(assemble(h), theta=h.theta)
+    return thermal_state_from_matrix(assemble(h), theta=h.theta, terms=h.term_matrices())
+
+
+def state_for(h: ParamHamiltonian, ts: ThermalState | None) -> ThermalState:
+    """`ts`, or rho(theta) of h when it is None; a given state must carry h's terms."""
+    if ts is None:
+        return thermal_state(h)
+    if len(ts.term_matrices) != h.n_params:
+        raise ValueError(f"thermal state has {len(ts.term_matrices)} terms, expected {h.n_params}")
+    return ts
 
 
 def expectation(obs: np.ndarray, rho: np.ndarray) -> float:
@@ -102,31 +145,22 @@ def _sinhc(x: np.ndarray) -> np.ndarray:
     return np.where(small, 1.0 + x * x / 6.0, np.sinh(safe) / safe)
 
 
-def _drho_eigenbasis(ts: ThermalState, g_term_eig: np.ndarray) -> np.ndarray:
+def _drho_eigenbasis(ts: ThermalState, j: int) -> np.ndarray:
     """d rho / d theta_j expressed in the G(theta) eigenbasis.
 
     Divided differences of exp(-x) across the spectrum give the derivative of
-    exp(-G); the
-    normalization contributes +rho <G_j>.
+    exp(-G); the normalization contributes +rho <G_j>.
     """
-    mu = ts.g_eigenvalues
-    lam = ts.rho_eigenvalues
-    mid = (mu[:, None] + mu[None, :]) / 2.0
-    half_gap = (mu[:, None] - mu[None, :]) / 2.0
-    # (exp(-mu_k) - exp(-mu_l)) / (mu_k - mu_l), normalized by Z
-    dd = -np.exp(-mid - ts.log_partition) * _sinhc(half_gap)
-    mean = float(np.real(np.sum(np.diagonal(g_term_eig) * lam)))
-    return g_term_eig * dd + mean * np.diag(lam.astype(complex))
+    lam = ts.rho_eigenvalues.astype(complex)
+    return ts.terms_eig[j] * ts.divided_differences + ts.term_means[j] * np.diag(lam)
 
 
 def thermal_derivative(h: ParamHamiltonian, j: int, ts: ThermalState | None = None) -> np.ndarray:
     """Exact d rho(theta) / d theta_j as a Hermitian, traceless matrix."""
     if not 0 <= j < h.n_params:
         raise ValueError(f"term index {j} out of range [0, {h.n_params})")
-    if ts is None:
-        ts = thermal_state(h)
-    g_eig = ts.to_eigenbasis(h.term_matrices()[j])
-    out = ts.from_eigenbasis(_drho_eigenbasis(ts, g_eig))
+    ts = state_for(h, ts)
+    out = ts.from_eigenbasis(_drho_eigenbasis(ts, j))
     out = hermitize(out, tol=1e-10 * (1.0 + float(np.max(np.abs(out)))))
     tr = abs(complex(np.trace(out)))
     if tr > 1e-10:

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bp_channel import apply_channel, filter_matrix
-from .gibbs import ThermalState, _drho_eigenbasis, thermal_state, thermal_state_from_matrix
+from .bp_channel import channel_from_eigenbasis
+from .gibbs import ThermalState, _drho_eigenbasis, state_for, thermal_state_from_matrix
 from .hamiltonian import ParamHamiltonian
 from .linalg import NumericConsistencyError, hermitize, tensor_product
 
@@ -62,97 +62,67 @@ def _symmetrize_checked(m: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     return (m + m.T) / 2
 
 
-def _terms_in_eigenbasis(ts: ThermalState, term_mats) -> tuple[list[np.ndarray], np.ndarray]:
-    tilde = [ts.to_eigenbasis(g) for g in term_mats]
-    lam = ts.rho_eigenvalues
-    means = np.array([float(np.real(np.sum(np.diagonal(g) * lam))) for g in tilde])
-    return tilde, means
-
-
 def _real_checked(z: complex, tol: float = 1e-9) -> float:
     if abs(z.imag) > tol * (1.0 + abs(z)):
         raise NumericConsistencyError(f"imaginary residue {z.imag:.3e} exceeds {tol:.1e}")
     return z.real
 
 
-def _fb_values(ts: ThermalState, term_mats) -> np.ndarray:
-    tilde, means = _terms_in_eigenbasis(ts, term_mats)
+def _covariance_values(ts: ThermalState, kind: str) -> np.ndarray:
     lam = ts.rho_eigenvalues.astype(complex)
-    filt = filter_matrix(ts.g_eigenvalues)
-    filtered = [filt * g for g in tilde]
-    n = len(term_mats)
+    filtered = [ts.filter * g for g in ts.terms_eig]
+    left = filtered if kind == FISHER_BURES else ts.terms_eig
+    n = len(filtered)
     raw = np.empty((n, n), dtype=complex)
     for i in range(n):
         for j in range(n):
-            # Tr[Phi(G_i) rho Phi(G_j)] in the eigenbasis, rho diagonal; the
-            # real part is the matrix element, the imaginary part is the
-            # commutator component that the i <-> j pairing must cancel
-            raw[i, j] = np.einsum("kl,l,lk->", filtered[i], lam, filtered[j])
-    pairing = float(np.max(np.abs(raw - raw.conj().T)))
-    if pairing > 1e-9 * (1.0 + float(np.max(np.abs(raw)))):
-        raise NumericConsistencyError(f"imaginary residue {pairing:.3e} in the covariance pairing")
-    out = raw.real - np.outer(means, means)
-    return _symmetrize_checked(out)
-
-
-def _km_values(ts: ThermalState, term_mats) -> np.ndarray:
-    tilde, means = _terms_in_eigenbasis(ts, term_mats)
-    lam = ts.rho_eigenvalues.astype(complex)
-    filt = filter_matrix(ts.g_eigenvalues)
-    filtered = [filt * g for g in tilde]
-    n = len(term_mats)
-    raw = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            # Tr[G_i rho Phi(G_j)]: real part is the element; the diagonal is
-            # real outright, and the (i, j) vs (j, i) real parts agree
-            # analytically, which _symmetrize_checked asserts below
-            raw[i, j] = np.einsum("kl,l,lk->", tilde[i], lam, filtered[j])
-    diag_resid = float(np.max(np.abs(raw.diagonal().imag)))
-    if diag_resid > 1e-9 * (1.0 + float(np.max(np.abs(raw)))):
-        raise NumericConsistencyError(f"imaginary residue {diag_resid:.3e} on the diagonal")
-    out = raw.real - np.outer(means, means)
+            # Tr[Phi(G_i) rho Phi(G_j)] (FB) or Tr[G_i rho Phi(G_j)] (KM) in the
+            # eigenbasis, rho diagonal; the real part is the matrix element. For
+            # FB the imaginary part is the commutator component that the i <-> j
+            # pairing must cancel; for KM the diagonal is real outright, and the
+            # (i, j) vs (j, i) real parts agree, which _symmetrize_checked asserts
+            raw[i, j] = np.einsum("kl,l,lk->", left[i], lam, filtered[j])
+    if kind == FISHER_BURES:
+        resid, where = float(np.max(np.abs(raw - raw.conj().T))), "in the covariance pairing"
+    else:
+        resid, where = float(np.max(np.abs(raw.diagonal().imag))), "on the diagonal"
+    if resid > 1e-9 * (1.0 + float(np.max(np.abs(raw)))):
+        raise NumericConsistencyError(f"imaginary residue {resid:.3e} {where}")
+    out = raw.real - np.outer(ts.term_means, ts.term_means)
     return _symmetrize_checked(out)
 
 
 def fb_exact(h: ParamHamiltonian, ts: ThermalState | None = None) -> InfoMatrix:
     """Fisher-Bures information matrix via the channel-filtered covariance form."""
-    if ts is None:
-        ts = thermal_state(h)
-    vals = _fb_values(ts, h.term_matrices())
+    ts = state_for(h, ts)
+    vals = _covariance_values(ts, FISHER_BURES)
     return InfoMatrix(values=vals, kind=FISHER_BURES, method=METHOD_CLOSED_FORM, theta=h.theta)
 
 
 def km_exact(h: ParamHamiltonian, ts: ThermalState | None = None) -> InfoMatrix:
     """Kubo-Mori information matrix via the half-filtered covariance form."""
-    if ts is None:
-        ts = thermal_state(h)
-    vals = _km_values(ts, h.term_matrices())
+    ts = state_for(h, ts)
+    vals = _covariance_values(ts, KUBO_MORI)
     return InfoMatrix(values=vals, kind=KUBO_MORI, method=METHOD_CLOSED_FORM, theta=h.theta)
 
 
-def _derivatives_eigenbasis(ts: ThermalState, term_mats) -> list[np.ndarray]:
-    return [_drho_eigenbasis(ts, ts.to_eigenbasis(g)) for g in term_mats]
-
-
-def _oracle_values(ts: ThermalState, term_mats, weights: np.ndarray) -> np.ndarray:
-    derivs = _derivatives_eigenbasis(ts, term_mats)
-    n = len(term_mats)
+def _oracle_values(ts: ThermalState, weight_fn) -> np.ndarray:
+    n = len(ts.terms_eig)
+    derivs = [_drho_eigenbasis(ts, j) for j in range(n)]
+    # built after the derivatives, so only the complex weights outlive the build
+    weights = weight_fn(ts.rho_eigenvalues).astype(complex)
     out = np.empty((n, n))
     for i in range(n):
         for j in range(n):
-            t = complex(np.einsum("kl,kl,lk->", weights.astype(complex), derivs[i], derivs[j]))
+            t = complex(np.einsum("kl,kl,lk->", weights, derivs[i], derivs[j]))
             out[i, j] = _real_checked(t)
     return _symmetrize_checked(out)
 
 
 def fb_spectral_oracle(h: ParamHamiltonian, ts: ThermalState | None = None) -> InfoMatrix:
     """Independent Fisher-Bures route: derivative overlaps weighted by 2/(lam_k + lam_l)."""
-    if ts is None:
-        ts = thermal_state(h)
-    lam = ts.rho_eigenvalues
-    weights = 2.0 / (lam[:, None] + lam[None, :])
-    vals = _oracle_values(ts, h.term_matrices(), weights)
+    ts = state_for(h, ts)
+    vals = _oracle_values(ts, lambda lam: 2.0 / (lam[:, None] + lam[None, :]))
     return InfoMatrix(values=vals, kind=FISHER_BURES, method=METHOD_SPECTRAL, theta=h.theta)
 
 
@@ -170,9 +140,8 @@ def km_weight(lam: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
 
 def km_spectral_oracle(h: ParamHamiltonian, ts: ThermalState | None = None) -> InfoMatrix:
     """Independent Kubo-Mori route: derivative overlaps with inverse-log-mean weights."""
-    if ts is None:
-        ts = thermal_state(h)
-    vals = _oracle_values(ts, h.term_matrices(), km_weight(ts.rho_eigenvalues))
+    ts = state_for(h, ts)
+    vals = _oracle_values(ts, km_weight)
     return InfoMatrix(values=vals, kind=KUBO_MORI, method=METHOD_SPECTRAL, theta=h.theta)
 
 
@@ -183,11 +152,8 @@ def sld_operator(h: ParamHamiltonian, j: int, ts: ThermalState | None = None) ->
     """
     if not 0 <= j < h.n_params:
         raise ValueError(f"term index {j} out of range [0, {h.n_params})")
-    if ts is None:
-        ts = thermal_state(h)
-    g = h.term_matrices()[j]
-    mean = float(np.real(np.sum(np.diagonal(ts.to_eigenbasis(g)) * ts.rho_eigenvalues)))
-    out = -apply_channel(ts, g) + mean * np.eye(ts.dim)
+    ts = state_for(h, ts)
+    out = -channel_from_eigenbasis(ts, ts.terms_eig[j]) + ts.term_means[j] * np.eye(ts.dim)
     return hermitize(out, tol=1e-10 * (1.0 + float(np.max(np.abs(out)))))
 
 
@@ -246,9 +212,9 @@ def additivity_check(h: ParamHamiltonian, tol: float = 1e-8) -> AdditivityReport
         tensor_product(g, eye) + tensor_product(eye, g) for g in h.term_matrices()
     ]
     g_doubled = sum(c * g for c, g in zip(h.theta, doubled_terms))
-    ts_doubled = thermal_state_from_matrix(g_doubled, theta=h.theta)
-    doubled = _fb_values(ts_doubled, doubled_terms)
-    single = 2.0 * _fb_values(thermal_state(h), h.term_matrices())
+    ts_doubled = thermal_state_from_matrix(g_doubled, theta=h.theta, terms=doubled_terms)
+    doubled = _covariance_values(ts_doubled, FISHER_BURES)
+    single = 2.0 * fb_exact(h).values
     diff = float(np.max(np.abs(doubled - single)))
     return AdditivityReport(
         doubled=doubled,

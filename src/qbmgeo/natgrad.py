@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bp_channel import default_sampler, filter_matrix, sample_t, stream_rng
-from .gibbs import ThermalState, expectation, relative_entropy, thermal_state
+from .bp_channel import stream_rng
+from .gibbs import ThermalState, expectation, relative_entropy, state_for, thermal_state
 from .hamiltonian import ParamHamiltonian, pauli_decompose, pauli_to_matrix
 from .info_geometry import FISHER_BURES, KUBO_MORI, fb_exact, km_exact
 from .linalg import check_density_matrix, hermitize, pseudo_inverse
@@ -30,10 +30,10 @@ from .shot_estimators import (
     STREAM_GRAD_PRODUCT,
     STREAM_PAULI_MEAN,
     ShotConfig,
-    _interference_means,
-    _pauli_outcomes,
-    _rademacher_mean,
+    draw_first_term,
+    draw_product_term,
     estimate_matrix,
+    pauli_outcomes,
 )
 
 EUCLIDEAN = "euclidean"
@@ -156,19 +156,15 @@ def grad_ground_energy(h: ParamHamiltonian, observable: np.ndarray,
                        ts: ThermalState | None = None) -> np.ndarray:
     """Exact gradient of Tr[H rho(theta)]: -1/2 <{H, Phi(G_j)}> + <H><G_j>."""
     observable = hermitize(observable)
-    if ts is None:
-        ts = thermal_state(h)
+    ts = state_for(h, ts)
     if observable.shape[0] != ts.dim:
         raise ValueError("observable dimension does not match the state")
-    lam = ts.rho_eigenvalues
-    filt = filter_matrix(ts.g_eigenvalues)
+    lam = ts.rho_eigenvalues.astype(complex)
     h_eig = ts.to_eigenbasis(observable)
-    mean_h = float(np.real(np.sum(np.diagonal(h_eig) * lam)))
+    mean_h = ts.mean(h_eig)
     grad = np.empty(h.n_params)
-    for j, g in enumerate(h.term_matrices()):
-        g_eig = ts.to_eigenbasis(g)
-        mean_j = float(np.real(np.sum(np.diagonal(g_eig) * lam)))
-        t = complex(np.einsum("kl,l,lk->", h_eig, lam.astype(complex), filt * g_eig))
+    for j, (g_eig, mean_j) in enumerate(zip(ts.terms_eig, ts.term_means)):
+        t = complex(np.einsum("kl,l,lk->", h_eig, lam, ts.filter * g_eig))
         grad[j] = -t.real + mean_h * mean_j
     return grad
 
@@ -202,25 +198,20 @@ def natgrad_step(theta: np.ndarray, grad: np.ndarray, metric, eta: float,
 
 
 def _shot_grad_ground_energy(h, loss, cfg, ts, iteration) -> np.ndarray:
+    # per Pauli label P of H and term j: -(1/2 <{P, Phi(G_j)}> - <P><G_j>), the
+    # Kubo-Mori element shape with P in place of G_i
     shots = cfg.shots
-    sampler = default_sampler()
     labels, coeffs = loss.decomposition(h.n_qubits)
-    lam = ts.rho_eigenvalues
-    term_eigs = [ts.to_eigenbasis(g) for g in h.term_matrices()]
-    n = shots.shots
     grad = np.zeros(h.n_params)
     for a, (label, c) in enumerate(zip(labels, coeffs)):
         p_eig = ts.to_eigenbasis(pauli_to_matrix(label))
-        mean_p = float(np.real(np.sum(np.diagonal(p_eig) * lam)))
-        for j, g_eig in enumerate(term_eigs):
-            rng = stream_rng(shots.master_seed, iteration, STREAM_GRAD_FIRST, a, j)
-            t = sample_t(sampler, rng, size=n)
-            first = _rademacher_mean(_interference_means(ts, p_eig, g_eig, t), rng)
-            rng2 = stream_rng(shots.master_seed, iteration, STREAM_GRAD_PRODUCT, a, j)
-            mean_j = float(np.real(np.sum(np.diagonal(g_eig) * lam)))
-            s_p = _pauli_outcomes(mean_p, rng2, n)
-            s_j = _pauli_outcomes(mean_j, rng2, n)
-            grad[j] += c * (-first + float(np.mean(s_p * s_j)))
+        mean_p = ts.mean(p_eig)
+        for j, (g_eig, mean_j) in enumerate(zip(ts.terms_eig, ts.term_means)):
+            first = draw_first_term(ts, p_eig, g_eig, KUBO_MORI, shots,
+                                    (iteration, STREAM_GRAD_FIRST, a, j))
+            product = draw_product_term(mean_p, mean_j, shots,
+                                        (iteration, STREAM_GRAD_PRODUCT, a, j))
+            grad[j] += c * (-first + product)
     return grad
 
 
@@ -230,9 +221,9 @@ def _shot_grad_rel_entropy(h, loss, cfg, ts, iteration) -> np.ndarray:
     grad = np.empty(h.n_params)
     for j, g in enumerate(h.term_matrices()):
         rng = stream_rng(shots.master_seed, iteration, STREAM_PAULI_MEAN, j, 0)
-        s_omega = _pauli_outcomes(expectation(g, loss.omega), rng, n)
+        s_omega = pauli_outcomes(expectation(g, loss.omega), rng, n)
         rng2 = stream_rng(shots.master_seed, iteration, STREAM_PAULI_MEAN, j, 1)
-        s_rho = _pauli_outcomes(expectation(g, ts.rho), rng2, n)
+        s_rho = pauli_outcomes(expectation(g, ts.rho), rng2, n)
         grad[j] = float(np.mean(s_omega)) - float(np.mean(s_rho))
     return grad
 

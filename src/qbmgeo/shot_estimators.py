@@ -15,7 +15,8 @@ Every estimator draws from its own RNG stream derived from the master seed and
 the element's indices, so results are bitwise reproducible for any worker
 count; per-draw conditional means are evaluated in the G(theta) eigenbasis,
 which the test suite cross-checks against explicitly constructed unitaries fed
-through `hadamard_test_prob`.
+through `hadamard_test_prob`. All sampling, the shot gradient's included, goes
+through two primitives: `draw_first_term` and `draw_product_term`.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bp_channel import TentSampler, default_sampler, filter_matrix, sample_t, stream_rng
-from .gibbs import ThermalState, thermal_state
+from .bp_channel import default_sampler, sample_t, stream_rng
+from .gibbs import ThermalState, state_for
 from .hamiltonian import ParamHamiltonian
 from .info_geometry import (
     FISHER_BURES,
@@ -136,21 +137,48 @@ def _rademacher_mean(means: np.ndarray, rng: np.random.Generator) -> float:
     return float(np.mean(z))
 
 
-def _term_setup(h: ParamHamiltonian, i: int, j: int, ts: ThermalState | None):
+def pauli_outcomes(mean: float, rng: np.random.Generator, n: int) -> np.ndarray:
+    """n measurements of a +-1-valued observable with the given mean."""
+    p_plus = np.clip((1.0 + mean) / 2.0, 0.0, 1.0)
+    return np.where(rng.random(n) < p_plus, 1.0, -1.0)
+
+
+def draw_first_term(ts: ThermalState, a_eig: np.ndarray, b_eig: np.ndarray, kind: str,
+                    cfg: ShotConfig, key: tuple[int, ...]) -> float:
+    """Mean of cfg.shots +-1 Hadamard-test outcomes at tent times, A and B in the eigenbasis.
+
+    Fisher-Bures evolves for t1 - t2 (two draws per shot), Kubo-Mori for one draw.
+    """
+    rng = stream_rng(cfg.master_seed, *key)
+    sampler = default_sampler()
+    t = sample_t(sampler, rng, size=cfg.shots)
+    if kind == FISHER_BURES:
+        t = t - sample_t(sampler, rng, size=cfg.shots)
+    return _rademacher_mean(_interference_means(ts, a_eig, b_eig, t), rng)
+
+
+def draw_product_term(mean_a: float, mean_b: float, cfg: ShotConfig,
+                      key: tuple[int, ...]) -> float:
+    """Mean of cfg.shots products of +-1 outcomes of A, then B, on two fresh copies."""
+    rng = stream_rng(cfg.master_seed, *key)
+    s_a = pauli_outcomes(mean_a, rng, cfg.shots)
+    s_b = pauli_outcomes(mean_b, rng, cfg.shots)
+    return float(np.mean(s_a * s_b))
+
+
+def _state(h: ParamHamiltonian, i: int, j: int, ts: ThermalState | None) -> ThermalState:
     if not (0 <= i < h.n_params and 0 <= j < h.n_params):
         raise ValueError(f"indices ({i}, {j}) out of range [0, {h.n_params})")
-    if ts is None:
-        ts = thermal_state(h)
-    mats = h.term_matrices()
-    return ts, ts.to_eigenbasis(mats[i]), ts.to_eigenbasis(mats[j])
+    return state_for(h, ts)
 
 
 def exact_first_term(h: ParamHamiltonian, kind: str, i: int, j: int,
                      ts: ThermalState | None = None) -> float:
     """Exact value targeted by the first-term estimators (for error reporting)."""
-    ts, gi, gj = _term_setup(h, i, j, ts)
+    ts = _state(h, i, j, ts)
+    gi, gj = ts.terms_eig[i], ts.terms_eig[j]
     lam = ts.rho_eigenvalues.astype(complex)
-    filt = filter_matrix(ts.g_eigenvalues)
+    filt = ts.filter
     if kind == FISHER_BURES:
         t = complex(np.einsum("kl,l,lk->", filt * gi, lam, filt * gj))
     elif kind == KUBO_MORI:
@@ -163,66 +191,40 @@ def exact_first_term(h: ParamHamiltonian, kind: str, i: int, j: int,
 def exact_product_term(h: ParamHamiltonian, i: int, j: int,
                        ts: ThermalState | None = None) -> float:
     """<G_i><G_j>, the two-copy product target."""
-    ts, gi, gj = _term_setup(h, i, j, ts)
-    lam = ts.rho_eigenvalues
-    mi = float(np.real(np.sum(np.diagonal(gi) * lam)))
-    mj = float(np.real(np.sum(np.diagonal(gj) * lam)))
-    return mi * mj
+    means = _state(h, i, j, ts).term_means
+    return float(means[i] * means[j])
+
+
+def _estimate_first_term(h, kind, code, i, j, cfg, ts, stream_prefix) -> EstimatorReport:
+    ts = _state(h, i, j, ts)
+    value = draw_first_term(ts, ts.terms_eig[i], ts.terms_eig[j], kind, cfg,
+                            (*stream_prefix, code, i, j))
+    return EstimatorReport(
+        value=value, shots=cfg.shots, first_term=value,
+        exact_reference=exact_first_term(h, kind, i, j, ts),
+    )
 
 
 def estimate_fb_first_term(h: ParamHamiltonian, i: int, j: int, cfg: ShotConfig,
                            ts: ThermalState | None = None,
-                           rng: np.random.Generator | None = None,
-                           sampler: TentSampler | None = None,
                            stream_prefix: tuple[int, ...] = ()) -> EstimatorReport:
     """Unbiased N-shot estimate of 1/2 <{Phi(G_i), Phi(G_j)}>_rho.
 
     Per draw: t1, t2 sampled independently from the tent density, then one
     Hadamard-test outcome at evolution time t1 - t2.
     """
-    ts, gi, gj = _term_setup(h, i, j, ts)
-    if rng is None:
-        rng = stream_rng(cfg.master_seed, *stream_prefix, STREAM_FB_FIRST, i, j)
-    if sampler is None:
-        sampler = default_sampler()
-    n = cfg.shots
-    t1 = sample_t(sampler, rng, size=n)
-    t2 = sample_t(sampler, rng, size=n)
-    value = _rademacher_mean(_interference_means(ts, gi, gj, t1 - t2), rng)
-    return EstimatorReport(
-        value=value, shots=n, first_term=value,
-        exact_reference=exact_first_term(h, FISHER_BURES, i, j, ts),
-    )
+    return _estimate_first_term(h, FISHER_BURES, STREAM_FB_FIRST, i, j, cfg, ts, stream_prefix)
 
 
 def estimate_km_first_term(h: ParamHamiltonian, i: int, j: int, cfg: ShotConfig,
                            ts: ThermalState | None = None,
-                           rng: np.random.Generator | None = None,
-                           sampler: TentSampler | None = None,
                            stream_prefix: tuple[int, ...] = ()) -> EstimatorReport:
     """Unbiased N-shot estimate of 1/2 <{G_i, Phi(G_j)}>_rho (single sampled time)."""
-    ts, gi, gj = _term_setup(h, i, j, ts)
-    if rng is None:
-        rng = stream_rng(cfg.master_seed, *stream_prefix, STREAM_KM_FIRST, i, j)
-    if sampler is None:
-        sampler = default_sampler()
-    n = cfg.shots
-    t = sample_t(sampler, rng, size=n)
-    value = _rademacher_mean(_interference_means(ts, gi, gj, t), rng)
-    return EstimatorReport(
-        value=value, shots=n, first_term=value,
-        exact_reference=exact_first_term(h, KUBO_MORI, i, j, ts),
-    )
-
-
-def _pauli_outcomes(mean: float, rng: np.random.Generator, n: int) -> np.ndarray:
-    p_plus = np.clip((1.0 + mean) / 2.0, 0.0, 1.0)
-    return np.where(rng.random(n) < p_plus, 1.0, -1.0)
+    return _estimate_first_term(h, KUBO_MORI, STREAM_KM_FIRST, i, j, cfg, ts, stream_prefix)
 
 
 def estimate_product_term(h: ParamHamiltonian, i: int, j: int, cfg: ShotConfig,
                           ts: ThermalState | None = None,
-                          rng: np.random.Generator | None = None,
                           stream_prefix: tuple[int, ...] = ()) -> EstimatorReport:
     """Unbiased N-shot estimate of <G_i><G_j> from two fresh state copies per shot.
 
@@ -230,18 +232,28 @@ def estimate_product_term(h: ParamHamiltonian, i: int, j: int, cfg: ShotConfig,
     the eigenprojector weights; the outcomes are drawn independently (i first,
     then j) and their products averaged.
     """
-    ts, gi, gj = _term_setup(h, i, j, ts)
-    if rng is None:
-        rng = stream_rng(cfg.master_seed, *stream_prefix, STREAM_PRODUCT, i, j)
-    lam = ts.rho_eigenvalues
-    mi = float(np.real(np.sum(np.diagonal(gi) * lam)))
-    mj = float(np.real(np.sum(np.diagonal(gj) * lam)))
-    n = cfg.shots
-    s_i = _pauli_outcomes(mi, rng, n)
-    s_j = _pauli_outcomes(mj, rng, n)
-    value = float(np.mean(s_i * s_j))
+    means = _state(h, i, j, ts).term_means
+    value = draw_product_term(means[i], means[j], cfg, (*stream_prefix, STREAM_PRODUCT, i, j))
     return EstimatorReport(
-        value=value, shots=n, first_term=value, exact_reference=mi * mj,
+        value=value, shots=cfg.shots, first_term=value, exact_reference=means[i] * means[j],
+    )
+
+
+def estimate_element(h: ParamHamiltonian, kind: str, i: int, j: int, cfg: ShotConfig,
+                     ts: ThermalState | None = None,
+                     stream_prefix: tuple[int, ...] = ()) -> EstimatorReport:
+    """One matrix element: first term minus product term, each on its own N shots."""
+    if kind not in (FISHER_BURES, KUBO_MORI):
+        raise ValueError(f"unknown matrix kind {kind!r}")
+    first_fn = estimate_fb_first_term if kind == FISHER_BURES else estimate_km_first_term
+    first = first_fn(h, i, j, cfg, ts=ts, stream_prefix=stream_prefix)
+    second = estimate_product_term(h, i, j, cfg, ts=ts, stream_prefix=stream_prefix)
+    return EstimatorReport(
+        value=first.value - second.value,
+        shots=first.shots + second.shots,
+        first_term=first.value,
+        second_term=second.value,
+        exact_reference=first.exact_reference - second.exact_reference,
     )
 
 
@@ -266,25 +278,14 @@ def estimate_matrix(h: ParamHamiltonian, kind: str, cfg: ShotConfig,
     code, i, j), so the result does not depend on the worker count and is
     bitwise reproducible for a fixed master seed.
     """
-    if kind not in (FISHER_BURES, KUBO_MORI):
-        raise ValueError(f"unknown matrix kind {kind!r}")
-    if ts is None:
-        ts = thermal_state(h)
-    sampler = default_sampler()
-    first_fn = estimate_fb_first_term if kind == FISHER_BURES else estimate_km_first_term
+    ts = state_for(h, ts)
+    # fill the frame's caches here rather than on the worker threads
+    ts.terms_eig, ts.term_means, ts.filter
     n_params = h.n_params
 
     def element(idx: int) -> EstimatorReport:
         i, j = divmod(idx, n_params)
-        first = first_fn(h, i, j, cfg, ts=ts, sampler=sampler, stream_prefix=stream_prefix)
-        second = estimate_product_term(h, i, j, cfg, ts=ts, stream_prefix=stream_prefix)
-        return EstimatorReport(
-            value=first.value - second.value,
-            shots=first.shots + second.shots,
-            first_term=first.value,
-            second_term=second.value,
-            exact_reference=first.exact_reference - second.exact_reference,
-        )
+        return estimate_element(h, kind, i, j, cfg, ts=ts, stream_prefix=stream_prefix)
 
     indices = range(n_params * n_params)
     if workers > 1:

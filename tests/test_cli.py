@@ -211,3 +211,51 @@ def test_dumps17_special_values():
     assert cli.dumps17(float("nan")) == '"nan"'
     assert cli.dumps17(0.1) == "0.10000000000000001"
     assert json.loads(cli.dumps17({"a": [1, 2.5, None, True]})) == {"a": [1, 2.5, None, True]}
+
+
+GROUND_TRAIN = {
+    "hamiltonian": {"qubits": 1, "terms": ["Z"], "theta": [0.0]},
+    "train": {
+        "loss": {"kind": "ground_energy", "terms": ["Z"], "coeffs": [1.0]},
+        "metric": "fb", "mode": "exact", "eta": 0.05, "max_iters": 2,
+    },
+}
+
+
+def test_unwritable_out_is_output_error(tmp_path, capsys):
+    path = write_config(tmp_path, SINGLE_Z)
+    out_path = str(tmp_path / "missing" / "out.json")
+    assert cli.main(["info-matrix", "--config", path, "--out", out_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("output error: ") and err.count("\n") == 1
+
+
+def test_unwritable_trace_csv_is_output_error(tmp_path, capsys):
+    cfg = json.loads(json.dumps(GROUND_TRAIN))
+    cfg["train"]["trace_csv"] = str(tmp_path / "missing" / "trace.csv")
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["train", "--config", path, "--out", str(tmp_path / "out.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("output error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_trace_csv_must_be_nonempty_string(tmp_path, capsys):
+    # open() takes an int as a file descriptor; a closed one keeps a
+    # regression from writing into (and closing) a descriptor the runner holds
+    for k, value in enumerate((999_999, 2.5, "", None, ["trace.csv"], {})):
+        cfg = json.loads(json.dumps(GROUND_TRAIN))
+        cfg["train"]["trace_csv"] = value
+        path = write_config(tmp_path, cfg, f"t{k}.json")
+        assert cli.main(["train", "--config", path, "--out", str(tmp_path / "o.json")]) == 2
+        assert "train.trace_csv" in capsys.readouterr().err
+    assert not (tmp_path / "o.json").exists()
+
+
+def test_validate_integer_fields(tmp_path, capsys):
+    for k, block in enumerate(({"instances": True}, {"draws": True}, {"instances": 0},
+                               {"draws": 999}, {"draws": 1000.0})):
+        cfg = {"hamiltonian": SINGLE_Z["hamiltonian"], "validate": block}
+        path = write_config(tmp_path, cfg, f"v{k}.json")
+        assert cli.main(["validate", "--config", path]) == 2
+        assert "config error: validate." in capsys.readouterr().err
