@@ -151,8 +151,9 @@ def _drho_eigenbasis(ts: ThermalState, j: int) -> np.ndarray:
     Divided differences of exp(-x) across the spectrum give the derivative of
     exp(-G); the normalization contributes +rho <G_j>.
     """
-    lam = ts.rho_eigenvalues.astype(complex)
-    return ts.terms_eig[j] * ts.divided_differences + ts.term_means[j] * np.diag(lam)
+    out = ts.terms_eig[j] * ts.divided_differences
+    out[np.diag_indices_from(out)] += ts.term_means[j] * ts.rho_eigenvalues
+    return out
 
 
 def thermal_derivative(h: ParamHamiltonian, j: int, ts: ThermalState | None = None) -> np.ndarray:

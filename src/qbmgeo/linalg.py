@@ -132,11 +132,3 @@ def check_density_matrix(rho: np.ndarray, tol: float = 1e-10) -> np.ndarray:
         raise ValueError(f"negative eigenvalue {min_eig:.3e} below -{tol:.1e}")
     return rho
 
-
-def real_trace(m: np.ndarray, tol: float = 1e-10) -> float:
-    """Trace that must be real up to tol; the imaginary residue is checked, then dropped."""
-    t = complex(np.trace(m))
-    scale = 1.0 + abs(t)
-    if abs(t.imag) > tol * scale:
-        raise NumericConsistencyError(f"trace has imaginary residue {t.imag:.3e}")
-    return t.real

@@ -15,8 +15,10 @@ Every estimator draws from its own RNG stream derived from the master seed and
 the element's indices, so results are bitwise reproducible for any worker
 count; per-draw conditional means are evaluated in the G(theta) eigenbasis,
 which the test suite cross-checks against explicitly constructed unitaries fed
-through `hadamard_test_prob`. All sampling, the shot gradient's included, goes
-through two primitives: `draw_first_term` and `draw_product_term`.
+through `hadamard_test_prob`. Each shot costs O(d) complex exponentials plus
+one row of a d x d GEMM, and a batch of N shots holds N x d phases. All
+sampling, the shot gradient's included, goes through two primitives:
+`draw_first_term` and `draw_product_term`.
 """
 
 from __future__ import annotations
@@ -117,17 +119,19 @@ def _interference_means(ts: ThermalState, gi_eig: np.ndarray, gj_eig: np.ndarray
                         times: np.ndarray) -> np.ndarray:
     """Re Tr[G_j e^{-iGt} G_i e^{iGt} rho] for a batch of evolution times.
 
-    Evaluated in the G(theta) eigenbasis, where the conjugation is a pure
-    phase on each eigenvalue gap.
+    In the G(theta) eigenbasis the trace is sum_kl W_kl e^{it(mu_l - mu_k)}
+    with W_kl = (G_j)_kl (G_i)_lk lam_k. The phase factors as
+    e^{-it mu_k} e^{it mu_l}, so with E_tk = e^{it mu_k} the means are
+    Re sum_k conj(E) * (E @ W^T): d exponentials and one row of a d x d GEMM
+    per time. _CHUNK bounds the complex entries of E per chunk.
     """
-    lam = ts.rho_eigenvalues
-    weights = (gj_eig * gi_eig.T * lam[:, None]).ravel()
     mu = ts.g_eigenvalues
-    gaps = (mu[None, :] - mu[:, None]).ravel()
+    weights_t = (gj_eig * gi_eig.T * ts.rho_eigenvalues[:, None]).T
+    rows = max(1, _CHUNK // mu.size)
     out = np.empty(times.shape[0])
-    for lo in range(0, times.shape[0], _CHUNK):
-        chunk = times[lo:lo + _CHUNK]
-        out[lo:lo + _CHUNK] = np.real(np.exp(1j * np.outer(chunk, gaps)) @ weights)
+    for lo in range(0, times.shape[0], rows):
+        phases = np.exp(1j * np.outer(times[lo:lo + rows], mu))
+        out[lo:lo + rows] = np.real(np.sum(phases.conj() * (phases @ weights_t), axis=1))
     return out
 
 

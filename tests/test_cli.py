@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -70,7 +71,7 @@ def test_shot_output_reproducible(tmp_path, capsys):
     assert cli.main(["info-matrix", "--config", path, "--out", out_a]) == 0
     assert cli.main(["info-matrix", "--config", path, "--out", out_b, "--workers", "4"]) == 0
     capsys.readouterr()
-    assert open(out_a, "rb").read() == open(out_b, "rb").read()
+    assert Path(out_a).read_bytes() == Path(out_b).read_bytes()
 
 
 def test_seed_override_changes_shot_output(tmp_path, capsys):
@@ -105,10 +106,10 @@ def test_train_ground_energy(tmp_path, capsys):
     path = write_config(tmp_path, cfg)
     out_path = str(tmp_path / "summary.json")
     assert cli.main(["train", "--config", path, "--out", out_path]) == 0
-    summary = json.load(open(out_path))
+    summary = json.loads(Path(out_path).read_text())
     assert summary["final_loss"] <= -0.999
     assert summary["stop_reason"] == "grad_tol"
-    rows = open(tmp_path / "trace.csv").read().strip().split("\n")
+    rows = (tmp_path / "trace.csv").read_text().strip().split("\n")
     assert len(rows) == summary["iters"] + 2  # header + initial point + steps
 
 
@@ -125,7 +126,7 @@ def test_train_generative_and_row_contract(tmp_path, capsys):
     path = write_config(tmp_path, cfg)
     out_path = str(tmp_path / "gen.json")
     assert cli.main(["train", "--config", path, "--out", out_path]) == 0
-    summary = json.load(open(out_path))
+    summary = json.loads(Path(out_path).read_text())
     err = np.max(np.abs(np.array(summary["final_theta"]) - np.array([0.8, -0.3])))
     assert err <= 1e-3
     # max_iters=1 -> exactly two data rows
@@ -133,7 +134,7 @@ def test_train_generative_and_row_contract(tmp_path, capsys):
     cfg["train"]["grad_tol"] = 0.0
     path2 = write_config(tmp_path, cfg, "one.json")
     assert cli.main(["train", "--config", path2, "--out", str(tmp_path / "one_out.json")]) == 0
-    rows = open(tmp_path / "gen.csv").read().strip().split("\n")  # rewritten by second run
+    rows = (tmp_path / "gen.csv").read_text().strip().split("\n")  # rewritten by second run
     assert len(rows) == 3
     capsys.readouterr()
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import stats
 
 from qbmgeo import (
     FISHER_BURES,
@@ -14,9 +15,11 @@ from qbmgeo import (
     exact_product_term,
     hadamard_test_prob,
     pauli_to_matrix,
+    random_hamiltonian,
     thermal_state,
 )
-from qbmgeo.shot_estimators import _interference_means
+from qbmgeo import shot_estimators
+from qbmgeo.shot_estimators import _interference_means, draw_first_term, draw_product_term
 
 CFG = ShotConfig(epsilon=0.1, delta=0.05, master_seed=99)
 
@@ -78,6 +81,87 @@ def test_interference_means_match_explicit_unitaries():
         u1 = mats[0] @ u_evolve @ mats[1]
         p0 = hadamard_test_prob(u_evolve, u1, ts.rho)
         assert abs((2 * p0 - 1) - mean) <= 1e-10
+
+
+def _gap_means(ts, gi, gj, times):
+    # reference: one phase per eigenvalue gap, sum_kl W_kl e^{it(mu_l - mu_k)}
+    mu = ts.g_eigenvalues
+    gaps = (mu[None, :] - mu[:, None]).ravel()
+    weights = (gj * gi.T * ts.rho_eigenvalues[:, None]).ravel()
+    return np.real(np.exp(1j * np.outer(times, gaps)) @ weights)
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2, 3, 4, 5, 6])
+def test_interference_means_match_gap_formula(n_qubits):
+    # X, Y and Z on one qubit rule out a time-reversal symmetry, under which
+    # every mean is even in t and a transposed or conjugated kernel still passes
+    rng = np.random.default_rng(300 + n_qubits)
+    pad = "I" * (n_qubits - 1)
+    labels = [p + pad for p in "XYZ"]
+    if n_qubits > 1:
+        labels += [p for p in random_hamiltonian(rng, n_qubits, 2).terms if p not in labels]
+    h = ParamHamiltonian(labels, rng.uniform(-1.5, 1.5, size=len(labels)))
+    ts = thermal_state(h)
+    times = np.concatenate([[-24.0, 0.0, 24.0], rng.uniform(-24.0, 24.0, size=60)])
+    for i in range(h.n_params):
+        for j in range(h.n_params):
+            gi, gj = ts.terms_eig[i], ts.terms_eig[j]
+            dev = np.max(np.abs(_interference_means(ts, gi, gj, times) - _gap_means(ts, gi, gj, times)))
+            assert dev <= 1e-12
+
+
+@pytest.mark.parametrize("chunk", [1, 16, 24])
+def test_interference_means_chunking(monkeypatch, chunk):
+    h = ParamHamiltonian(["ZZI", "XIX", "IYZ"], [0.4, -0.7, 0.9])
+    ts = thermal_state(h)
+    gi, gj = ts.terms_eig[0], ts.terms_eig[1]
+    times = np.random.default_rng(5).uniform(-24.0, 24.0, size=101)
+    whole = _interference_means(ts, gi, gj, times)
+    monkeypatch.setattr(shot_estimators, "_CHUNK", chunk)  # 1-3 rows per chunk at d = 8
+    np.testing.assert_allclose(_interference_means(ts, gi, gj, times), whole, rtol=0, atol=1e-14)
+
+
+def _binomial_gof_pvalue(counts, n, p):
+    """Chi-square goodness of fit of integer counts in [0, n] to Binomial(n, p).
+
+    Adjacent outcomes are pooled until every bin expects at least 5 draws.
+    """
+    expected = stats.binom.pmf(np.arange(n + 1), n, p) * counts.size
+    observed = np.bincount(counts, minlength=n + 1).astype(float)
+    bins_obs, bins_exp, acc_obs, acc_exp = [], [], 0.0, 0.0
+    for o, e in zip(observed, expected):
+        acc_obs, acc_exp = acc_obs + o, acc_exp + e
+        if acc_exp >= 5.0:
+            bins_obs.append(acc_obs)
+            bins_exp.append(acc_exp)
+            acc_obs, acc_exp = 0.0, 0.0
+    bins_obs[-1] += acc_obs
+    bins_exp[-1] += acc_exp
+    stat = float(np.sum((np.array(bins_obs) - bins_exp) ** 2 / np.array(bins_exp)))
+    return float(stats.chi2.sf(stat, len(bins_obs) - 1))
+
+
+def test_shot_primitives_follow_exact_binomial_law():
+    # each shot is +-1 with mean x (the term's exact value), so the number of
+    # +1 outcomes in N shots is exactly Binomial(N, (1 + x)/2); alpha fixed at 1e-3
+    h = ParamHamiltonian(["XX", "ZI", "YX"], [0.6, -0.4, 0.8])
+    ts = thermal_state(h)
+    cfg = ShotConfig(epsilon=0.5, delta=0.5, master_seed=31)
+    n, seeds = cfg.shots, range(2000)
+    assert n == 12
+    gi, gj = ts.terms_eig[0], ts.terms_eig[1]
+    means = ts.term_means
+    cases = {
+        FISHER_BURES: (exact_first_term(h, FISHER_BURES, 0, 1, ts),
+                       lambda s: draw_first_term(ts, gi, gj, FISHER_BURES, cfg, (s, 0, 0, 1))),
+        KUBO_MORI: (exact_first_term(h, KUBO_MORI, 0, 1, ts),
+                    lambda s: draw_first_term(ts, gi, gj, KUBO_MORI, cfg, (s, 1, 0, 1))),
+        "product": (exact_product_term(h, 0, 1, ts),
+                    lambda s: draw_product_term(means[0], means[1], cfg, (s, 2, 0, 1))),
+    }
+    for name, (x, draw) in cases.items():
+        counts = np.array([round(n * (draw(s) + 1.0) / 2.0) for s in seeds])
+        assert _binomial_gof_pvalue(counts, n, (1.0 + x) / 2.0) >= 1e-3, name
 
 
 def test_first_term_exact_at_origin():
