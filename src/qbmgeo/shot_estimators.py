@@ -283,8 +283,8 @@ def estimate_matrix(h: ParamHamiltonian, kind: str, cfg: ShotConfig,
     bitwise reproducible for a fixed master seed.
     """
     ts = state_for(h, ts)
-    # fill the frame's caches here rather than on the worker threads
-    ts.terms_eig, ts.term_means, ts.filter
+    # fill the frame's caches and build the sampler here rather than on the worker threads
+    ts.terms_eig, ts.term_means, ts.filter, default_sampler()
     n_params = h.n_params
 
     def element(idx: int) -> EstimatorReport:

@@ -1,3 +1,6 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -5,6 +8,8 @@ from scipy.integrate import quad
 from qbmgeo import (
     ParamHamiltonian,
     apply_channel,
+    bp_channel,
+    build_tent_sampler,
     default_sampler,
     filter_value,
     pauli_to_matrix,
@@ -68,6 +73,64 @@ def test_sampler_build_invariants():
     assert np.all(np.diff(s.grid) > 0)
     np.testing.assert_allclose(s.grid, -s.grid[::-1], atol=0)  # symmetric grid
     assert s.t_max == 12.0
+
+
+@pytest.fixture(scope="module")
+def fresh_build():
+    """A sampler built anew rather than taken from the cache, and the traced peak of its build."""
+    tracemalloc.start()
+    try:
+        s = build_tent_sampler()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return s, peak
+
+
+def test_sampler_golden(fresh_build):
+    # recorded from the build that evaluated the CDF at every node and every cell endpoint;
+    # a change of grid, CDF or certificate must update these on purpose
+    s, _ = fresh_build
+    assert hashlib.sha256(s.grid.tobytes()).hexdigest() == (
+        "a1d3db16ea680b89c1e887f47f5289c63bf0981460643a6a1c1a3beef840550e")
+    assert hashlib.sha256(s.cdf.tobytes()).hexdigest() == (
+        "263456dc7c4e2f7a0ce003071c3cf4e15eaeefbb8e2aa263175d84bb4ff51804")
+    assert s.tv_error.hex() == "0x1.d6b05716f74b2p-22"
+
+
+def test_sampler_build_memory(fresh_build):
+    s, peak = fresh_build
+    assert peak <= 2.5 * (s.grid.nbytes + s.cdf.nbytes)
+
+
+def _direct_tv(grid, cdf, t_max):
+    # one pass over all positive cells, with the true CDF evaluated at both endpoints
+    half = len(grid) // 2
+    a, b = grid[half:-1], grid[half + 1:]
+    mass = cdf[half + 1:] - cdf[half:-1]
+    p_hat = mass / (b - a)
+    ok = p_hat > 1e-300
+    tau = np.clip(np.where(ok, bp_channel._density_crossing(np.where(ok, p_hat, 1.0)), a), a, b)
+    f = bp_channel._cdf_exact
+    cell_l1 = np.where(ok, np.abs(2.0 * f(tau) - f(a) - f(b) + p_hat * (a + b - 2.0 * tau)), mass)
+    return (2.0 * float(np.sum(cell_l1)) + 2.0 * float(bp_channel._upper_tail(t_max))) / 2.0
+
+
+def test_sampler_build_matches_direct_evaluation(monkeypatch):
+    # a coarse grid whose t_max leaves a tail above float resolution, so the clamped last
+    # node differs from the true CDF, certified in many blocks with a partial last one
+    monkeypatch.setattr(bp_channel, "TV_BOUND", 1.0)
+    monkeypatch.setattr(bp_channel, "_TV_BLOCK", 7)
+    s = build_tent_sampler(t_max=4.0, nodes_per_section=50)
+    pos = bp_channel._positive_nodes(4.0, 50)
+    grid = np.concatenate([-pos[::-1], [0.0], pos])
+    tail = bp_channel._upper_tail
+    cdf = np.where(grid >= 0, 1.0 - tail(grid), tail(-grid))
+    cdf[0], cdf[-1] = 0.0, 1.0
+    np.testing.assert_array_equal(s.grid, grid)
+    np.testing.assert_array_equal(s.cdf, cdf)
+    assert 1.0 - bp_channel._cdf_exact(4.0) > 0.0
+    assert s.tv_error == _direct_tv(grid, cdf, 4.0)
 
 
 def test_sampler_determinism():

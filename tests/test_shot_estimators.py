@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -18,7 +20,7 @@ from qbmgeo import (
     random_hamiltonian,
     thermal_state,
 )
-from qbmgeo import shot_estimators
+from qbmgeo import bp_channel, shot_estimators
 from qbmgeo.shot_estimators import _interference_means, draw_first_term, draw_product_term
 
 CFG = ShotConfig(epsilon=0.1, delta=0.05, master_seed=99)
@@ -251,6 +253,26 @@ def test_matrix_estimate_accounting_and_determinism():
         for rep in row:
             assert rep.shots == 2 * cfg.shots
             assert rep.value == rep.first_term - rep.second_term
+
+
+def test_matrix_estimate_builds_sampler_once(monkeypatch):
+    # as in a fresh process: the sampler cache is empty when the worker pool starts
+    sampler = bp_channel.default_sampler()
+    builds = []
+
+    def counting_build():
+        builds.append(1)
+        time.sleep(0.2)  # a build slow enough that every worker reaches the cache during it
+        return sampler
+
+    h = ParamHamiltonian(["Z", "X"], [1.0, 0.3])
+    cfg = ShotConfig(0.1, 0.1, master_seed=12)
+    serial = estimate_matrix(h, FISHER_BURES, cfg)
+    monkeypatch.setattr(bp_channel, "build_tent_sampler", counting_build)
+    bp_channel.default_sampler.cache_clear()
+    pooled = estimate_matrix(h, FISHER_BURES, cfg, workers=4)
+    assert len(builds) == 1
+    np.testing.assert_array_equal(pooled.matrix.values, serial.matrix.values)
 
 
 def test_index_validation():
