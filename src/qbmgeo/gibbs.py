@@ -65,9 +65,12 @@ class ThermalState:
         return float(np.real(np.sum(np.diagonal(op_eig) * self.rho_eigenvalues)))
 
     @cached_property
-    def terms_eig(self) -> list[np.ndarray]:
-        """The terms G_j in the G(theta) eigenbasis."""
-        return [self.to_eigenbasis(g) for g in self.term_matrices]
+    def terms_eig(self) -> np.ndarray:
+        """The terms G_j in the G(theta) eigenbasis, stacked as one (J, d, d) array."""
+        out = np.empty((len(self.term_matrices), self.dim, self.dim), dtype=complex)
+        for j, g in enumerate(self.term_matrices):
+            out[j] = self.to_eigenbasis(g)
+        return out
 
     @cached_property
     def term_means(self) -> np.ndarray:

@@ -10,7 +10,9 @@ while the spectral oracles sum weighted overlaps of the exact state
 derivatives: weight 2/(lam_k + lam_l) for Fisher-Bures and the inverse
 logarithmic mean of (lam_k, lam_l) for Kubo-Mori. The two routes agree to
 1e-8 and are cross-checked in the test suite; Kubo-Mori dominates
-Fisher-Bures in the Loewner order.
+Fisher-Bures in the Loewner order. Both routes pair the frame's stacked terms
+by one GEMV per column (`_pair_column`), against one weighted term or one
+state derivative at a time.
 """
 
 from __future__ import annotations
@@ -68,20 +70,28 @@ def _real_checked(z: complex, tol: float = 1e-9) -> float:
     return z.real
 
 
+def _pairing_weight(ts: ThermalState, kind: str) -> np.ndarray:
+    """W = f_kl f_lk lam_l (FB) or f_lk lam_l (KM): sum_kl G_i[k, l] W[k, l] G_j[l, k] is
+    Tr[Phi(G_i) rho Phi(G_j)] or Tr[G_i rho Phi(G_j)], whose real part is the first term."""
+    if kind not in (FISHER_BURES, KUBO_MORI):
+        raise ValueError(f"unknown matrix kind {kind!r}")
+    w = ts.filter.T * ts.rho_eigenvalues
+    return ts.filter * w if kind == FISHER_BURES else w
+
+
+def _pair_column(stack: np.ndarray, weight: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """[sum_kl S_i[k, l] weight[k, l] x[l, k] for each S_i in stack]: one GEMV."""
+    return stack.reshape(len(stack), -1) @ (weight * x.T).ravel()
+
+
 def _covariance_values(ts: ThermalState, kind: str) -> np.ndarray:
-    lam = ts.rho_eigenvalues.astype(complex)
-    filtered = [ts.filter * g for g in ts.terms_eig]
-    left = filtered if kind == FISHER_BURES else ts.terms_eig
-    n = len(filtered)
-    raw = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            # Tr[Phi(G_i) rho Phi(G_j)] (FB) or Tr[G_i rho Phi(G_j)] (KM) in the
-            # eigenbasis, rho diagonal; the real part is the matrix element. For
-            # FB the imaginary part is the commutator component that the i <-> j
-            # pairing must cancel; for KM the diagonal is real outright, and the
-            # (i, j) vs (j, i) real parts agree, which _symmetrize_checked asserts
-            raw[i, j] = np.einsum("kl,l,lk->", left[i], lam, filtered[j])
+    terms, weight = ts.terms_eig, _pairing_weight(ts, kind)
+    raw = np.empty((len(terms), len(terms)), dtype=complex)
+    for j in range(len(terms)):
+        raw[:, j] = _pair_column(terms, weight, terms[j])
+    # For FB the imaginary part is the commutator component that the i <-> j
+    # pairing must cancel; for KM the diagonal is real outright, and the
+    # (i, j) vs (j, i) real parts agree, which _symmetrize_checked asserts
     if kind == FISHER_BURES:
         resid, where = float(np.max(np.abs(raw - raw.conj().T))), "in the covariance pairing"
     else:
@@ -107,15 +117,19 @@ def km_exact(h: ParamHamiltonian, ts: ThermalState | None = None) -> InfoMatrix:
 
 
 def _oracle_values(ts: ThermalState, weight_fn) -> np.ndarray:
+    # sum_kl w_kl D_i[k, l] D_j[l, k] with D_i = G_i o DD + diag(<G_i> lam), one D_j at a time:
+    # the stacked terms pair with DD o w o D_j^T, plus <G_i> sum_k lam_k w_kk D_j[k, k]
+    lam = ts.rho_eigenvalues
+    weight = weight_fn(lam)
+    diag_weight = lam * np.diagonal(weight)
+    weight *= ts.divided_differences
     n = len(ts.terms_eig)
-    derivs = [_drho_eigenbasis(ts, j) for j in range(n)]
-    # built after the derivatives, so only the complex weights outlive the build
-    weights = weight_fn(ts.rho_eigenvalues).astype(complex)
-    out = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            t = complex(np.einsum("kl,kl,lk->", weights, derivs[i], derivs[j]))
-            out[i, j] = _real_checked(t)
+    raw = np.empty((n, n), dtype=complex)
+    for j in range(n):
+        d_j = _drho_eigenbasis(ts, j)
+        raw[:, j] = (_pair_column(ts.terms_eig, weight, d_j)
+                     + ts.term_means * (diag_weight @ np.diagonal(d_j)))
+    out = np.array([_real_checked(complex(z)) for z in raw.ravel()]).reshape(n, n)
     return _symmetrize_checked(out)
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .bp_channel import stream_rng
 from .gibbs import ThermalState, thermal_derivative, thermal_state
@@ -172,6 +171,8 @@ def _negative_log_likelihood(h: ParamHamiltonian, j: int, projectors, counts) ->
 
 
 def _maximize_likelihood(nll, center: float, half_width: float = 2.0) -> float:
+    from scipy.optimize import minimize_scalar  # the CLI's slowest import; only the MLE needs it
+
     for width in (half_width, 2.0 * half_width):
         res = minimize_scalar(
             nll, bounds=(center - width, center + width), method="bounded",

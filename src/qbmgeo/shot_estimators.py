@@ -37,6 +37,8 @@ from .info_geometry import (
     KUBO_MORI,
     METHOD_SHOT,
     InfoMatrix,
+    _pair_column,
+    _pairing_weight,
     _symmetrize_checked,
     fb_exact,
     km_exact,
@@ -67,6 +69,9 @@ class ShotConfig:
             raise ValueError("epsilon must be positive")
         if not 0 < self.delta < 1:
             raise ValueError("delta must lie in (0, 1)")
+        eps_sq = self.epsilon**2
+        if not (eps_sq > 0 and 0 < 2.0 * math.log(2.0 / self.delta) / eps_sq < math.inf):
+            raise ValueError("epsilon gives no finite Hoeffding shot budget")
         if int(self.master_seed) < 0:
             raise ValueError("master_seed must be a non-negative 64-bit integer")
 
@@ -180,16 +185,8 @@ def exact_first_term(h: ParamHamiltonian, kind: str, i: int, j: int,
                      ts: ThermalState | None = None) -> float:
     """Exact value targeted by the first-term estimators (for error reporting)."""
     ts = _state(h, i, j, ts)
-    gi, gj = ts.terms_eig[i], ts.terms_eig[j]
-    lam = ts.rho_eigenvalues.astype(complex)
-    filt = ts.filter
-    if kind == FISHER_BURES:
-        t = complex(np.einsum("kl,l,lk->", filt * gi, lam, filt * gj))
-    elif kind == KUBO_MORI:
-        t = complex(np.einsum("kl,l,lk->", gi, lam, filt * gj))
-    else:
-        raise ValueError(f"unknown matrix kind {kind!r}")
-    return t.real
+    first = _pair_column(ts.terms_eig[i:i + 1], _pairing_weight(ts, kind), ts.terms_eig[j])
+    return float(first[0].real)
 
 
 def exact_product_term(h: ParamHamiltonian, i: int, j: int,

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 
-from qbmgeo import cli
+from qbmgeo import cli, shot_estimators
 
 SINGLE_Z = {
     "hamiltonian": {"qubits": 1, "terms": ["Z"], "theta": [math.log(2)]},
@@ -260,3 +260,17 @@ def test_validate_integer_fields(tmp_path, capsys):
         path = write_config(tmp_path, cfg, f"v{k}.json")
         assert cli.main(["validate", "--config", path]) == 2
         assert "config error: validate." in capsys.readouterr().err
+
+
+def test_epsilon_without_finite_budget_is_schema_error(tmp_path, monkeypatch, capsys):
+    # eps^2 underflows to 0 at 1e-300, and the budget overflows to inf at 1e-160
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a shot was drawn")
+
+    monkeypatch.setattr(shot_estimators, "draw_first_term", no_draw)
+    monkeypatch.setattr(shot_estimators, "draw_product_term", no_draw)
+    for eps in (1e-300, 1e-160):
+        cfg = dict(SINGLE_Z, info_matrix={"kind": "fb", "method": "shot",
+                                          "epsilon": eps, "delta": 0.05})
+        assert cli.main(["info-matrix", "--config", write_config(tmp_path, cfg)]) == 2
+        assert "no finite Hoeffding shot budget" in capsys.readouterr().err

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -139,3 +143,12 @@ def test_mle_validation():
         mle_single_param(SINGLE_Z, 0, n=0, repeats=10, master_seed=1)
     with pytest.raises(ValueError):
         mle_single_param(SINGLE_Z, 0, n=100, repeats=1, master_seed=1)
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # only the MLE needs scipy.optimize, so it is imported on first use
+    code = "import sys, qbmgeo.cli; print('scipy.optimize' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"

@@ -15,7 +15,9 @@ from qbmgeo import (
     estimate_product_term,
     exact_first_term,
     exact_product_term,
+    fb_exact,
     hadamard_test_prob,
+    km_exact,
     pauli_to_matrix,
     random_hamiltonian,
     thermal_state,
@@ -38,6 +40,24 @@ def test_shot_config_validation():
         ShotConfig(0.1, 1.0)
     with pytest.raises(ValueError):
         ShotConfig(0.1, 0.05, master_seed=-1)
+    for eps in (1e-300, 1e-160, float("inf")):
+        with pytest.raises(ValueError, match="no finite Hoeffding shot budget"):
+            ShotConfig(eps, 0.05)
+
+
+def test_exact_first_term_is_the_closed_form_first_term():
+    # the first-term target minus <G_i><G_j> is the exact matrix element
+    rng = np.random.default_rng(31)
+    for n in (1, 2, 3, 4):
+        h = random_hamiltonian(rng, n, min(4, 4**n - 1))
+        ts = thermal_state(h)
+        means = ts.term_means
+        for kind, exact in ((FISHER_BURES, fb_exact), (KUBO_MORI, km_exact)):
+            values = exact(h, ts).values
+            for i in range(h.n_params):
+                for j in range(h.n_params):
+                    first = exact_first_term(h, kind, i, j, ts)
+                    assert abs(first - means[i] * means[j] - values[i, j]) <= 1e-14
 
 
 def test_hadamard_prob_interference_extremes():
